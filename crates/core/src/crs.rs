@@ -28,9 +28,8 @@ use clare_term::{term_size, ClauseId, Term};
 use clare_unify::partial::{partial_match, PartialConfig};
 use clare_unify::unify_query_clause;
 use clare_wal::{Overlay, PredDelta};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// The four searching modes of §2.2.
@@ -75,19 +74,10 @@ pub struct CrsOptions {
     pub disk: DiskProfile,
     /// Host CPU cost model.
     pub cost: SoftwareCostModel,
-    /// Worker threads for the FS1 index scan. `None` (the default) defers
-    /// to the index's own [`clare_scw::ScwConfig::parallelism`]; `Some(n)`
-    /// overrides it per server. The answer set and all modelled times are
-    /// identical at every level — only host wall-clock changes.
-    pub fs1_parallelism: Option<usize>,
-    /// FS2 track-pipeline knobs: worker count, shard granularity, and
-    /// whether matching reads the pre-decoded [`clare_kb::ClauseArena`]
-    /// instead of re-parsing record bytes. As with FS1, none of these
-    /// change the answer set or any modelled time.
+    /// FS2 sweep source: whether matching reads the pre-decoded
+    /// [`clare_kb::ClauseArena`] instead of re-parsing record bytes. It
+    /// changes neither the answer set nor any modelled time.
     pub fs2: Fs2Config,
-    /// Per-server override for [`Fs2Config::parallelism`]. `None` (the
-    /// default) defers to `fs2.parallelism()`.
-    pub fs2_parallelism: Option<usize>,
     /// Epoch-invalidated retrieval cache served by
     /// [`crate::ClauseRetrievalServer`]. Hits are byte-identical to the
     /// uncached pipeline; the free [`retrieve`] function never caches.
@@ -113,9 +103,7 @@ impl Default for CrsOptions {
         CrsOptions {
             disk: DiskProfile::fujitsu_m2351a(),
             cost: SoftwareCostModel::m68020(),
-            fs1_parallelism: None,
             fs2: Fs2Config::paper(),
-            fs2_parallelism: None,
             cache: CacheConfig::default(),
             overlay_auto_compact_ops: Some(8192),
             overlay_auto_compact_age: None,
@@ -237,7 +225,7 @@ pub fn retrieve(
         query,
         mode,
         opts,
-        Precomputed::default(),
+        None,
         None,
         &CancelToken::unlimited(),
     ))
@@ -253,8 +241,8 @@ fn unlimited<T>(result: Result<T, BudgetExceeded>) -> T {
 }
 
 /// [`retrieve`] under a request budget: the token's deadline and
-/// candidate limit are checked at cooperative checkpoints (every FS1
-/// shard claim, every FS2 track, every ~64 candidates of the full
+/// candidate limit are checked at cooperative checkpoints (every 4096
+/// FS1 index entries, every FS2 track, every ~64 candidates of the full
 /// unifier), and a tripped budget returns a typed [`BudgetExceeded`]
 /// carrying the partial statistics — never a truncated candidate list.
 pub fn retrieve_budgeted(
@@ -264,16 +252,7 @@ pub fn retrieve_budgeted(
     opts: &CrsOptions,
     cancel: &CancelToken,
 ) -> Result<Retrieval, BudgetExceeded> {
-    retrieve_inner(
-        kb,
-        None,
-        query,
-        mode,
-        opts,
-        Precomputed::default(),
-        None,
-        cancel,
-    )
+    retrieve_inner(kb, None, query, mode, opts, None, None, cancel)
 }
 
 /// [`retrieve_merged`] under a request budget (see [`retrieve_budgeted`]).
@@ -285,16 +264,7 @@ pub fn retrieve_merged_budgeted(
     opts: &CrsOptions,
     cancel: &CancelToken,
 ) -> Result<Retrieval, BudgetExceeded> {
-    retrieve_inner(
-        kb,
-        Some(overlay),
-        query,
-        mode,
-        opts,
-        Precomputed::default(),
-        None,
-        cancel,
-    )
+    retrieve_inner(kb, Some(overlay), query, mode, opts, None, None, cancel)
 }
 
 /// [`retrieve`] over the base snapshot *merged with* a memtable overlay
@@ -318,7 +288,7 @@ pub fn retrieve_merged(
         query,
         mode,
         opts,
-        Precomputed::default(),
+        None,
         None,
         &CancelToken::unlimited(),
     ))
@@ -340,26 +310,16 @@ pub(crate) fn retrieve_cached(
     fs1: Option<&dyn Fs1Cache>,
     cancel: &CancelToken,
 ) -> Result<Retrieval, BudgetExceeded> {
-    retrieve_inner(
-        kb,
-        overlay,
-        query,
-        mode,
-        opts,
-        Precomputed::default(),
-        fs1,
-        cancel,
-    )
+    retrieve_inner(kb, overlay, query, mode, opts, None, fs1, cancel)
 }
 
-/// Retrieves candidates for several queries, amortizing the hardware
-/// passes: queries against the same predicate are compiled together, their
+/// Retrieves candidates for several queries, amortizing the FS1 pass:
+/// queries against the same predicate are compiled together and their
 /// descriptors tested in one pass over the packed secondary file
-/// ([`clare_scw::IndexFile::scan_batch`]), and their FS2 track sweeps run
-/// over the shared pre-decoded arena through one worker pool. Results come
-/// back in input order, and each is exactly what [`retrieve`] would return
-/// for that query alone — the batch changes host wall-clock, not semantics
-/// or modelled times.
+/// ([`clare_scw::IndexFile::scan_batch`]); each query then runs its own
+/// FS2 sweep. Results come back in input order, and each is exactly what
+/// [`retrieve`] would return for that query alone — the batch changes host
+/// wall-clock, not semantics or modelled times.
 pub fn retrieve_batch(
     kb: &KnowledgeBase,
     queries: &[Term],
@@ -437,87 +397,46 @@ pub(crate) fn retrieve_batch_cached(
 ) -> Result<Vec<Retrieval>, BudgetExceeded> {
     debug_assert_eq!(caches.len(), queries.len());
     let cache_of = |i: usize| caches.get(i).copied().flatten();
-    // Group hardware-eligible queries by predicate so each group shares
-    // the index pass and the FS2 worker pool.
-    let wants_fs1 = matches!(mode, SearchMode::Fs1Only | SearchMode::TwoStage);
-    let wants_fs2 = matches!(mode, SearchMode::Fs2Only | SearchMode::TwoStage);
-    let mut groups: HashMap<(clare_term::Symbol, usize), Vec<usize>> = HashMap::new();
-    if wants_fs1 || wants_fs2 {
+    let mut pre: Vec<Option<clare_scw::ScanOutcome>> = vec![None; queries.len()];
+    // Group FS1-eligible queries by predicate so each group shares one
+    // index pass.
+    if matches!(mode, SearchMode::Fs1Only | SearchMode::TwoStage) {
+        let mut groups: HashMap<(clare_term::Symbol, usize), Vec<usize>> = HashMap::new();
         for (i, query) in queries.iter().enumerate() {
             if let Some(key) = query.functor_arity() {
                 groups.entry(key).or_default().push(i);
             }
         }
-    }
-
-    let mut pre: Vec<Precomputed> = queries.iter().map(|_| Precomputed::default()).collect();
-    for ((functor, arity), members) in groups {
-        let Some((_, pred)) = kb.module_of(functor, arity) else {
-            continue;
-        };
-        if wants_fs1 {
+        for ((functor, arity), members) in groups {
+            let Some((_, pred)) = kb.module_of(functor, arity) else {
+                continue;
+            };
             let index = pred.index();
             // Cached outcomes first; only the misses join the shared pass.
             let mut need: Vec<usize> = Vec::new();
             for &i in &members {
                 match cache_of(i).and_then(Fs1Cache::get) {
-                    Some(outcome) => pre[i].fs1 = Some(outcome),
+                    Some(outcome) => pre[i] = Some(outcome),
                     None => need.push(i),
                 }
             }
-            if !need.is_empty() {
-                let descriptors: Vec<_> = need
-                    .iter()
-                    .map(|&i| encode_query_descriptor(&queries[i], index.config()))
-                    .collect();
-                let workers = opts.fs1_parallelism.unwrap_or(index.config().parallelism());
-                let outcomes = if cancel.is_unlimited() {
-                    index.scan_batch_with(&descriptors, workers)
-                } else {
-                    match index.scan_batch_with_cancel(&descriptors, workers, &|| {
-                        cancel.checkpoint().is_err()
-                    }) {
-                        Some(outcomes) => outcomes,
-                        None => return Err(exceeded(tripped_reason(cancel), None)),
-                    }
-                };
-                for (&i, outcome) in need.iter().zip(outcomes) {
-                    if let Some(cache) = cache_of(i) {
-                        cache.put(&outcome);
-                    }
-                    pre[i].fs1 = Some(outcome);
-                }
+            if need.is_empty() {
+                continue;
             }
-        }
-        if wants_fs2 {
-            // One sweep job per encodable query; unencodable ones fall
-            // back to software inside retrieve_inner, exactly as for a
-            // single retrieval.
-            let mut job_of: Vec<usize> = Vec::new();
-            let mut jobs: Vec<(Fs2Engine, Vec<usize>)> = Vec::new();
-            for &i in &members {
-                let Ok(stream) = encode_query(&queries[i]) else {
-                    continue;
-                };
-                let Ok(engine) = Fs2Engine::new(&stream) else {
-                    continue;
-                };
-                let tracks = match mode {
-                    SearchMode::Fs2Only => (0..pred.file().track_count()).collect(),
-                    _ => match &pre[i].fs1 {
-                        Some(outcome) => candidate_tracks(&outcome.matches),
-                        None => continue,
-                    },
-                };
-                job_of.push(i);
-                jobs.push((engine, tracks));
-            }
-            let outcomes = match fs2_sweep_jobs(pred, &jobs, opts, cancel) {
-                Ok(outcomes) => outcomes,
-                Err(reason) => return Err(exceeded(reason, None)),
+            let descriptors: Vec<_> = need
+                .iter()
+                .map(|&i| encode_query_descriptor(&queries[i], index.config()))
+                .collect();
+            let outcomes =
+                index.scan_batch_with_cancel(&descriptors, &|| cancel.checkpoint().is_err());
+            let Some(outcomes) = outcomes else {
+                return Err(exceeded(tripped_reason(cancel), None));
             };
-            for ((i, (_, tracks)), outcomes) in job_of.iter().copied().zip(jobs).zip(outcomes) {
-                pre[i].fs2 = Some(Fs2Sweep { tracks, outcomes });
+            for (&i, outcome) in need.iter().zip(outcomes) {
+                if let Some(cache) = cache_of(i) {
+                    cache.put(&outcome);
+                }
+                pre[i] = Some(outcome);
             }
         }
     }
@@ -548,22 +467,6 @@ fn exceeded(reason: BudgetReason, stats: Option<RetrievalStats>) -> BudgetExceed
     }
 }
 
-/// Hardware phases a batch has already run for one query: the FS1 scan
-/// outcome and/or the FS2 track sweep. `retrieve_inner` consumes whichever
-/// parts are present and match what it would compute itself.
-#[derive(Default)]
-struct Precomputed {
-    fs1: Option<clare_scw::ScanOutcome>,
-    fs2: Option<Fs2Sweep>,
-}
-
-/// A finished FS2 sweep: per-track match results for exactly `tracks`, in
-/// that order.
-struct Fs2Sweep {
-    tracks: Vec<usize>,
-    outcomes: Vec<TrackMatches>,
-}
-
 #[allow(clippy::too_many_arguments)]
 fn retrieve_inner(
     kb: &KnowledgeBase,
@@ -571,7 +474,7 @@ fn retrieve_inner(
     query: &Term,
     mode: SearchMode,
     opts: &CrsOptions,
-    pre: Precomputed,
+    pre: Option<clare_scw::ScanOutcome>,
     fs1_cache: Option<&dyn Fs1Cache>,
     cancel: &CancelToken,
 ) -> Result<Retrieval, BudgetExceeded> {
@@ -701,7 +604,7 @@ fn phase_candidates(
     hw_query: Option<Fs2Engine>,
     disk_resident: bool,
     opts: &CrsOptions,
-    mut pre: Precomputed,
+    pre: Option<clare_scw::ScanOutcome>,
     fs1_cache: Option<&dyn Fs1Cache>,
     stats: &mut RetrievalStats,
     cancel: &CancelToken,
@@ -711,7 +614,7 @@ fn phase_candidates(
             software_phase(pred, query, opts, disk_resident, stats, cancel)?
         }
         SearchMode::Fs1Only => {
-            let addrs = fs1_phase(pred, query, opts, pre.fs1.take(), fs1_cache, stats, cancel)?;
+            let addrs = fs1_phase(pred, query, opts, pre, fs1_cache, stats, cancel)?;
             fetch_candidate_tracks(pred, &addrs, opts, stats);
             stats.after_fs1 = Some(addrs.len());
             addrs_to_ids(pred, &addrs)
@@ -719,18 +622,16 @@ fn phase_candidates(
         SearchMode::Fs2Only => {
             let mut engine = hw_query.expect("checked above");
             let all_tracks: Vec<usize> = (0..pred.file().track_count()).collect();
-            let sweep = take_sweep(&mut pre, &all_tracks);
-            let satisfiers = fs2_phase(pred, &mut engine, &all_tracks, opts, stats, sweep, cancel)?;
+            let satisfiers = fs2_phase(pred, &mut engine, &all_tracks, opts, stats, cancel)?;
             stats.after_fs2 = Some(satisfiers.len());
             addrs_to_ids(pred, &satisfiers)
         }
         SearchMode::TwoStage => {
             let mut engine = hw_query.expect("checked above");
-            let fs1_addrs = fs1_phase(pred, query, opts, pre.fs1.take(), fs1_cache, stats, cancel)?;
+            let fs1_addrs = fs1_phase(pred, query, opts, pre, fs1_cache, stats, cancel)?;
             stats.after_fs1 = Some(fs1_addrs.len());
             let tracks = candidate_tracks(&fs1_addrs);
-            let sweep = take_sweep(&mut pre, &tracks);
-            let fs2_addrs = fs2_phase(pred, &mut engine, &tracks, opts, stats, sweep, cancel)?;
+            let fs2_addrs = fs2_phase(pred, &mut engine, &tracks, opts, stats, cancel)?;
             // Intersect: only clauses selected by both stages go on.
             let fs1_set: BTreeSet<ClauseAddr> = fs1_addrs.into_iter().collect();
             let joint: Vec<ClauseAddr> = fs2_addrs
@@ -810,15 +711,6 @@ fn candidate_tracks(addrs: &[ClauseAddr]) -> Vec<usize> {
         .collect()
 }
 
-/// Consumes a batch-precomputed FS2 sweep, but only if it covers exactly
-/// the tracks this retrieval is about to visit.
-fn take_sweep(pre: &mut Precomputed, tracks: &[usize]) -> Option<Vec<TrackMatches>> {
-    pre.fs2
-        .take()
-        .filter(|s| s.tracks == tracks)
-        .map(|s| s.outcomes)
-}
-
 /// Mode (a): stream everything (if disk resident) and filter on the host.
 fn software_phase(
     pred: &Predicate,
@@ -866,27 +758,16 @@ fn fs1_phase(
     let outcome = match precomputed.or_else(|| fs1_cache.and_then(Fs1Cache::get)) {
         Some(outcome) => outcome,
         None => {
+            // A cancelled scan yields no partial match list.
             let index = pred.index();
-            let outcome = if cancel.is_unlimited() {
-                match opts.fs1_parallelism {
-                    Some(workers) => {
-                        let descriptor = encode_query_descriptor(query, index.config());
-                        index.scan_with(&descriptor, workers)
-                    }
-                    None => index.scan(query),
-                }
-            } else {
-                // Budgeted scans go through the cancel-aware driver: the
-                // token is polled at every shard claim, and a cancelled
-                // scan yields no partial match list.
-                let descriptor = encode_query_descriptor(query, index.config());
-                let workers = opts.fs1_parallelism.unwrap_or(index.config().parallelism());
-                match index.scan_with_cancel(&descriptor, workers, &|| cancel.checkpoint().is_err())
-                {
-                    Some(outcome) => outcome,
-                    None => return Err(tripped_reason(cancel)),
-                }
+            let descriptor = encode_query_descriptor(query, index.config());
+            let outcomes = index.scan_batch_with_cancel(std::slice::from_ref(&descriptor), &|| {
+                cancel.checkpoint().is_err()
+            });
+            let Some(mut outcomes) = outcomes else {
+                return Err(tripped_reason(cancel));
             };
+            let outcome = outcomes.pop().expect("one query in, one outcome out");
             if let Some(cache) = fs1_cache {
                 cache.put(&outcome);
             }
@@ -1033,229 +914,39 @@ fn match_track(
     }
 }
 
-/// Runs a set of FS2 sweep jobs — `(engine, tracks)` pairs, typically one
-/// per query of a batch — through one worker pool.
-///
-/// With one worker each job's tracks are matched in order on the calling
-/// thread. With more, every job's track list is split into shards of
-/// [`Fs2Config::shard_tracks`] tracks and workers claim shards off a
-/// shared counter, cloning the owning job's engine on first touch (cheap:
-/// the MAP ROM is a flat 64 KB table). Results are stitched back in track
-/// order per job, so the output — and everything downstream, including all
-/// modelled times — is byte-identical at every worker count.
-fn fs2_sweep_jobs(
-    pred: &Predicate,
-    jobs: &[(Fs2Engine, Vec<usize>)],
-    opts: &CrsOptions,
-    cancel: &CancelToken,
-) -> Result<Vec<Vec<TrackMatches>>, BudgetReason> {
-    let workers = fs2_workers(opts);
-    let predecoded = opts.fs2.predecoded();
-    if workers <= 1 || jobs.iter().map(|(_, t)| t.len()).sum::<usize>() <= 1 {
-        let started = Instant::now();
-        let mut out: Vec<Vec<TrackMatches>> = Vec::with_capacity(jobs.len());
-        for (engine, tracks) in jobs {
-            let mut engine = engine.clone();
-            let mut matches = Vec::with_capacity(tracks.len());
-            for &t in tracks {
-                cancel.checkpoint()?;
-                matches.push(match_track(pred, &mut engine, t, predecoded));
-            }
-            out.push(matches);
-        }
-        record_sweeps(&out, started.elapsed().as_nanos() as u64, 1);
-        return Ok(out);
-    }
-    // (job, shard offset, shard tracks) work items, claimed off a counter.
-    let shard = opts.fs2.shard_tracks().max(1);
-    let mut items: Vec<(usize, usize, &[usize])> = Vec::new();
-    for (j, (_, tracks)) in jobs.iter().enumerate() {
-        let mut start = 0;
-        while start < tracks.len() {
-            let end = (start + shard).min(tracks.len());
-            items.push((j, start, &tracks[start..end]));
-            start = end;
-        }
-    }
-    let started = Instant::now();
-    let pool_workers = workers.min(items.len());
-    let next = AtomicUsize::new(0);
-    type Shards = Vec<(usize, usize, Vec<TrackMatches>)>;
-    let (mut results, panicked): (Shards, usize) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..pool_workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let busy = Instant::now();
-                    let mut engines: Vec<Option<Fs2Engine>> = vec![None; jobs.len()];
-                    let mut out = Vec::new();
-                    loop {
-                        // Cooperative cancellation at every shard claim:
-                        // the token is sticky, so once any checkpoint
-                        // trips, every worker bails at its next claim.
-                        if cancel.checkpoint().is_err() {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(j, start, tracks)) = items.get(i) else {
-                            break;
-                        };
-                        // Fault injection: a worker may stall or die at a
-                        // shard boundary. The decision keys on (job, shard)
-                        // — not on claim order — so a chaos schedule replays
-                        // identically at every thread interleaving.
-                        if clare_fault::active() {
-                            let ctx = ((j as u64) << 32) | start as u64;
-                            match clare_fault::decide(clare_fault::FaultSite::Fs2Worker, ctx) {
-                                clare_fault::FaultAction::Delay { micros } => {
-                                    std::thread::sleep(std::time::Duration::from_micros(micros));
-                                }
-                                clare_fault::FaultAction::Panic => {
-                                    panic!(
-                                        "injected fault: FS2 worker died on shard ({j}, {start})"
-                                    );
-                                }
-                                _ => {}
-                            }
-                        }
-                        let engine = engines[j].get_or_insert_with(|| jobs[j].0.clone());
-                        let matches = tracks
-                            .iter()
-                            .map(|&t| match_track(pred, engine, t, predecoded))
-                            .collect();
-                        out.push((j, start, matches));
-                    }
-                    clare_trace::metrics()
-                        .fs2_worker_busy_ns
-                        .add(busy.elapsed().as_nanos() as u64);
-                    out
-                })
-            })
-            .collect();
-        let mut all = Vec::new();
-        let mut panicked = 0usize;
-        for h in handles {
-            match h.join() {
-                Ok(shards) => all.extend(shards),
-                Err(_payload) => {
-                    // A dead worker takes every shard it had finished with
-                    // it. Count the death and fall through: the missing
-                    // shards are recomputed serially below, so the sweep
-                    // degrades to slower — never to wrong, never to a
-                    // re-raised panic on the serving thread.
-                    clare_trace::metrics().fs2_worker_panics.inc();
-                    panicked += 1;
-                }
-            }
-        }
-        (all, panicked)
-    });
-    // A tripped budget abandons the sweep before any serial recovery —
-    // no partial results leave this function.
-    cancel.checkpoint()?;
-    if panicked > 0 {
-        // Serial recovery of the lost shards. `match_track` still consults
-        // the disk-fault site (its decisions key on the track, so recovery
-        // sees the same corruption the worker would have), but the
-        // Fs2Worker site is only consulted at pool claim time — recovery
-        // cannot re-panic and always terminates.
-        let done: HashSet<(usize, usize)> = results.iter().map(|&(j, s, _)| (j, s)).collect();
-        let mut engines: Vec<Option<Fs2Engine>> = vec![None; jobs.len()];
-        for &(j, start, tracks) in &items {
-            if done.contains(&(j, start)) {
-                continue;
-            }
-            let engine = engines[j].get_or_insert_with(|| jobs[j].0.clone());
-            let matches = tracks
-                .iter()
-                .map(|&t| match_track(pred, engine, t, predecoded))
-                .collect();
-            clare_trace::metrics().fs2_worker_recoveries.inc();
-            results.push((j, start, matches));
-        }
-    }
-    // Stitch shards back per job, in track order.
-    results.sort_by_key(|&(j, start, _)| (j, start));
-    let mut out: Vec<Vec<TrackMatches>> = jobs
-        .iter()
-        .map(|(_, tracks)| Vec::with_capacity(tracks.len()))
-        .collect();
-    for (j, _, matches) in results {
-        out[j].extend(matches);
-    }
-    record_sweeps(&out, started.elapsed().as_nanos() as u64, pool_workers);
-    Ok(out)
-}
-
-/// Rolls one finished sweep pool into the registry: one `fs2.sweeps`
-/// tick and one modelled-time observation per job, one wall-clock
-/// observation for the pool. On the serial path busy time equals wall
-/// time (the caller's thread was the one worker).
-fn record_sweeps(jobs: &[Vec<TrackMatches>], wall_ns: u64, workers: usize) {
+/// Rolls one finished sweep into the registry: one `fs2.sweeps` tick,
+/// one modelled-time observation, and one wall-clock observation.
+fn record_sweep(outcomes: &[TrackMatches], wall_ns: u64) {
     let m = clare_trace::metrics();
-    m.fs2_sweeps.add(jobs.len() as u64);
-    for outcomes in jobs {
-        let modelled: SimNanos = outcomes.iter().map(|tm| tm.fs2_time).sum();
-        m.fs2_modelled_ns.record(modelled.as_ns());
-    }
+    m.fs2_sweeps.inc();
+    let modelled: SimNanos = outcomes.iter().map(|tm| tm.fs2_time).sum();
+    m.fs2_modelled_ns.record(modelled.as_ns());
     m.fs2_wall_ns.record(wall_ns);
-    if workers <= 1 {
-        m.fs2_worker_busy_ns.add(wall_ns);
-    }
-}
-
-/// Effective FS2 worker count: the per-server override, else the config's.
-fn fs2_workers(opts: &CrsOptions) -> usize {
-    opts.fs2_parallelism
-        .unwrap_or_else(|| opts.fs2.parallelism())
-        .max(1)
 }
 
 /// FS2 phase over the given tracks: each track streams from disk into the
 /// Double Buffer while the previous track's clauses are matched, so the
 /// per-track elapsed time is `max(transfer, matching)`.
 ///
-/// The matching sweep may run sharded across worker threads (and a batch
-/// may hand in a `precomputed` sweep), but the timing accounting below
-/// always walks the tracks serially in order — the modelled disk and
-/// filter times are those of the single hardware pipeline of the paper,
-/// identical at every worker count.
+/// The tracks are matched in order on the calling thread — the single
+/// hardware pipeline of the paper. The token is polled once per track, so
+/// cancellation latency is one track sweep.
 fn fs2_phase(
     pred: &Predicate,
     engine: &mut Fs2Engine,
     tracks: &[usize],
     opts: &CrsOptions,
     stats: &mut RetrievalStats,
-    precomputed: Option<Vec<TrackMatches>>,
     cancel: &CancelToken,
 ) -> Result<Vec<ClauseAddr>, BudgetReason> {
-    let outcomes = match precomputed {
-        Some(outcomes) => outcomes,
-        None if fs2_workers(opts) <= 1 => {
-            // Serial fast path: reuse the caller's engine, no clones.
-            // The token is polled once per track, so cancellation
-            // latency is one track sweep.
-            let started = Instant::now();
-            let predecoded = opts.fs2.predecoded();
-            let mut outcomes: Vec<TrackMatches> = Vec::with_capacity(tracks.len());
-            for &t in tracks {
-                cancel.checkpoint()?;
-                outcomes.push(match_track(pred, engine, t, predecoded));
-            }
-            record_sweeps(
-                std::slice::from_ref(&outcomes),
-                started.elapsed().as_nanos() as u64,
-                1,
-            );
-            outcomes
-        }
-        None => {
-            let jobs = [(engine.clone(), tracks.to_vec())];
-            fs2_sweep_jobs(pred, &jobs, opts, cancel)?
-                .pop()
-                .expect("one job in, one sweep out")
-        }
-    };
-    debug_assert_eq!(outcomes.len(), tracks.len());
+    let started = Instant::now();
+    let predecoded = opts.fs2.predecoded();
+    let mut outcomes: Vec<TrackMatches> = Vec::with_capacity(tracks.len());
+    for &t in tracks {
+        cancel.checkpoint()?;
+        outcomes.push(match_track(pred, engine, t, predecoded));
+    }
+    record_sweep(&outcomes, started.elapsed().as_nanos() as u64);
     let mut satisfiers = Vec::new();
     let mut prev: Option<usize> = None;
     for (&t, tm) in tracks.iter().zip(&outcomes) {
@@ -1521,7 +1212,6 @@ mod tests {
                 tracks,
                 &opts,
                 &mut stats,
-                None,
                 &CancelToken::unlimited(),
             )
             .unwrap();
@@ -1536,26 +1226,11 @@ mod tests {
         assert_eq!(gapped.bytes_from_disk, contiguous.bytes_from_disk);
     }
 
-    #[test]
-    fn parallel_fs2_identical_to_serial_at_every_worker_count() {
-        let (kb, queries) = build(&big_facts(2500), &["fact(k7, X)", "fact(K, v3)"]);
-        let serial = CrsOptions {
-            fs2_parallelism: Some(1),
-            ..CrsOptions::default()
-        };
-        for q in &queries {
-            for mode in [SearchMode::Fs2Only, SearchMode::TwoStage] {
-                let reference = retrieve(&kb, q, mode, &serial);
-                for workers in [2, 4, 7] {
-                    let opts = CrsOptions {
-                        fs2_parallelism: Some(workers),
-                        ..CrsOptions::default()
-                    };
-                    let got = retrieve(&kb, q, mode, &opts);
-                    assert_eq!(got, reference, "workers = {workers}, mode = {mode}");
-                }
-            }
-        }
+    /// Holds the process-wide fault-injector slot with the no-op injector,
+    /// so `disk_faults_degrade_but_never_change_the_answer_set` running
+    /// alongside cannot quarantine tracks in only one of two compared calls.
+    fn calm() -> clare_fault::InstallGuard {
+        clare_fault::install(std::sync::Arc::new(clare_fault::NoopInjector))
     }
 
     #[test]
@@ -1567,6 +1242,7 @@ mod tests {
         };
         let opts = CrsOptions::default();
         assert!(opts.fs2.predecoded(), "arena path is the default");
+        let _calm = calm();
         for q in &queries {
             for mode in [SearchMode::Fs2Only, SearchMode::TwoStage] {
                 assert_eq!(
@@ -1576,16 +1252,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Runs `f` with panics silenced (worker-death tests would otherwise
-    /// spray backtraces into the test log), restoring the previous hook.
-    fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let out = f();
-        std::panic::set_hook(prev);
-        out
     }
 
     #[test]
@@ -1635,39 +1301,6 @@ mod tests {
     }
 
     #[test]
-    fn fs2_worker_deaths_are_recovered_without_changing_the_sweep() {
-        use clare_fault::{DeterministicInjector, FaultPlan, FaultSite};
-        let (kb, queries) = build(&big_facts(2500), &["fact(k7, X)", "fact(K, v3)"]);
-        let opts = CrsOptions {
-            fs2_parallelism: Some(4),
-            ..CrsOptions::default()
-        };
-        let reference: Vec<Retrieval> = queries
-            .iter()
-            .map(|q| retrieve(&kb, q, SearchMode::Fs2Only, &opts))
-            .collect();
-        let recoveries_before = clare_trace::metrics().fs2_worker_recoveries.get();
-        quiet_panics(|| {
-            for seed in 0..12u64 {
-                let plan = FaultPlan::none().with(FaultSite::Fs2Worker, 700);
-                let _guard = clare_fault::install(std::sync::Arc::new(DeterministicInjector::new(
-                    seed, plan,
-                )));
-                for (q, want) in queries.iter().zip(&reference) {
-                    let got = retrieve(&kb, q, SearchMode::Fs2Only, &opts);
-                    // Worker faults never reach the answer: lost shards are
-                    // recomputed serially, and no panic crosses the API.
-                    assert_eq!(&got, want, "seed {seed}");
-                }
-            }
-        });
-        assert!(
-            clare_trace::metrics().fs2_worker_recoveries.get() > recoveries_before,
-            "a 70% shard fault rate across 12 seeds should kill at least one worker"
-        );
-    }
-
-    #[test]
     fn batch_fs2_matches_individual_retrievals() {
         let (kb, queries) = build(
             &big_facts(2000),
@@ -1679,10 +1312,8 @@ mod tests {
                 "fact(S, S)",
             ],
         );
-        let opts = CrsOptions {
-            fs2_parallelism: Some(3),
-            ..CrsOptions::default()
-        };
+        let opts = CrsOptions::default();
+        let _calm = calm();
         for mode in [SearchMode::Fs2Only, SearchMode::TwoStage] {
             let batch = retrieve_batch(&kb, &queries, mode, &opts);
             assert_eq!(batch.len(), queries.len());

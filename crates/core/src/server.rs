@@ -503,7 +503,7 @@ impl ClauseRetrievalServer {
     }
 
     /// [`retrieve`](Self::retrieve) under a query budget: the scan
-    /// checkpoints the token between shards/tracks/candidates and aborts
+    /// checkpoints the token between strides/tracks/candidates and aborts
     /// with a typed [`BudgetExceeded`] (carrying the partial stats) the
     /// moment it trips. Cache *hits* are always served — a hit costs
     /// nothing, so a budget can never refuse it — while a tripped miss
@@ -611,9 +611,8 @@ impl ClauseRetrievalServer {
 
     /// Serves a batch of retrievals against one consistent snapshot pair:
     /// the state is read once, same-predicate queries share a single FS1
-    /// index sweep plus one FS2 worker pool over the shared clause arena
-    /// ([`crate::crs::retrieve_batch`]), and the service statistics are
-    /// updated under one lock acquisition. Results are in query order and
+    /// index sweep ([`crate::crs::retrieve_batch`]), and the service
+    /// statistics are updated under one lock acquisition. Results are in query order and
     /// identical to issuing each query via
     /// [`ClauseRetrievalServer::retrieve`].
     pub fn retrieve_batch(&self, queries: &[Term], mode: SearchMode) -> Vec<Retrieval> {

@@ -3,7 +3,7 @@
 //! The paper's engine streams clauses off a disk, filters them in
 //! hardware, and (in our reproduction) serves them over TCP — three
 //! places where bytes can rot, reads can come up short, and workers can
-//! die. This crate is the one switchboard every layer consults before
+//! stall. This crate is the one switchboard every layer consults before
 //! trusting its inputs:
 //!
 //! * [`crc32c`] — the Castagnoli checksum guarding disk tracks, `.ckb`
@@ -36,47 +36,48 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// Where in the pipeline a fault decision is being made.
+///
+/// The discriminant is the site's stable schedule id, mixed into every
+/// [`DeterministicInjector`] decision: a removed site's number is never
+/// reused, so a seed replays the same faults across versions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// A disk [`Track`](../clare_disk/volume/struct.Track.html) being
     /// delivered to a reader. Context: track index mixed with a hash of
     /// the file name. Menu: bit flips, short reads.
-    DiskTrackRead,
+    DiskTrackRead = 0,
     /// A chunk read while loading a `.ckb` knowledge-base image.
     /// Context: byte offset of the chunk. Menu: bit flips, short reads.
-    KbRead,
+    KbRead = 1,
     /// A chunk written while saving a `.ckb` image. Context: byte offset.
     /// Menu: torn write (the file ends here, as if power was lost).
-    CkbWrite,
-    /// An FS2 sweep worker claiming a shard. Context: the shard's first
-    /// track index. Menu: delays, panics.
-    Fs2Worker,
+    CkbWrite = 2,
     /// The server writing a reply frame. Context: request id. Menu:
     /// dropped frame, half-written frame, bit flip in the payload.
-    NetServerSend,
+    NetServerSend = 4,
     /// The client writing a request frame. Context: request id. Menu:
     /// dropped frame, half-written frame.
-    NetClientSend,
+    NetClientSend = 5,
     /// The epoll reactor pulling bytes off a ready socket. Context: the
     /// connection token mixed with the read round. Menu: short read
     /// (deliver only a prefix of what the kernel had — the frame
     /// reassembler must pick up mid-frame), spurious wakeup (an EAGAIN
     /// storm: the readiness notification yields no bytes this round).
     /// Both are *transparent* faults: answers must stay byte-identical.
-    NetReactorRead,
+    NetReactorRead = 6,
     /// The epoll reactor flushing a connection's outbound queue.
     /// Context: the connection token mixed with the flush round. Menu:
     /// torn write (only a prefix of the pending bytes — possibly
     /// splitting a frame's length prefix — leaves this round; the rest
     /// must follow on a later `EPOLLOUT`). Transparent: replies must
     /// still arrive byte-identical.
-    NetReactorWrite,
+    NetReactorWrite = 7,
     /// The write-ahead log appending a commit batch. Context: the first
     /// sequence number of the batch. Menu: torn append (a prefix of the
     /// batch's frames reaches the file and the append reports failure, as
     /// if power was lost mid-write — the batch is never acknowledged, and
     /// replay-on-open must truncate the torn tail).
-    WalAppend,
+    WalAppend = 8,
     /// The cluster router forwarding a shipped WAL frame to a shard's
     /// backup. Context: the record's sequence number. Menu: `Drop` (the
     /// frame never leaves — the resend window must recover it),
@@ -84,22 +85,22 @@ pub enum FaultSite {
     /// its successor — a reorder), `Truncate` (the call site forwards
     /// the frame twice — a duplicate). The last two are site-interpreted
     /// shapes, the established pattern for worker-style sites.
-    ReplSend,
+    ReplSend = 9,
     /// A backup applying a shipped WAL frame. Context: the record's
     /// sequence number. Menu: `Drop` (refuse the frame with an error
     /// reply, forcing the router to retry), `Delay` (stall before
     /// applying).
-    ReplApply,
+    ReplApply = 10,
     /// A serving worker beginning to execute a dequeued job. Context:
     /// the request id. Menu: `Delay` only — the worker stalls before
     /// touching the engine, so chaos schedules can pin workers long
     /// enough that queued jobs outlive their deadlines and must be shed
     /// (never executed, never cached).
-    WorkerStall,
+    WorkerStall = 11,
 }
 
 /// Number of distinct [`FaultSite`]s (sizes the counter arrays).
-pub const SITE_COUNT: usize = 12;
+pub const SITE_COUNT: usize = 11;
 
 impl FaultSite {
     /// All sites, in counter index order.
@@ -107,7 +108,6 @@ impl FaultSite {
         FaultSite::DiskTrackRead,
         FaultSite::KbRead,
         FaultSite::CkbWrite,
-        FaultSite::Fs2Worker,
         FaultSite::NetServerSend,
         FaultSite::NetClientSend,
         FaultSite::NetReactorRead,
@@ -124,15 +124,14 @@ impl FaultSite {
             FaultSite::DiskTrackRead => 0,
             FaultSite::KbRead => 1,
             FaultSite::CkbWrite => 2,
-            FaultSite::Fs2Worker => 3,
-            FaultSite::NetServerSend => 4,
-            FaultSite::NetClientSend => 5,
-            FaultSite::NetReactorRead => 6,
-            FaultSite::NetReactorWrite => 7,
-            FaultSite::WalAppend => 8,
-            FaultSite::ReplSend => 9,
-            FaultSite::ReplApply => 10,
-            FaultSite::WorkerStall => 11,
+            FaultSite::NetServerSend => 3,
+            FaultSite::NetClientSend => 4,
+            FaultSite::NetReactorRead => 5,
+            FaultSite::NetReactorWrite => 6,
+            FaultSite::WalAppend => 7,
+            FaultSite::ReplSend => 8,
+            FaultSite::ReplApply => 9,
+            FaultSite::WorkerStall => 10,
         }
     }
 
@@ -142,7 +141,6 @@ impl FaultSite {
             FaultSite::DiskTrackRead => "disk_track_read",
             FaultSite::KbRead => "kb_read",
             FaultSite::CkbWrite => "ckb_write",
-            FaultSite::Fs2Worker => "fs2_worker",
             FaultSite::NetServerSend => "net_server_send",
             FaultSite::NetClientSend => "net_client_send",
             FaultSite::NetReactorRead => "net_reactor_read",
@@ -183,8 +181,6 @@ pub enum FaultAction {
         /// Stall duration in microseconds.
         micros: u64,
     },
-    /// Panic at the injection point (worker sites).
-    Panic,
 }
 
 /// A fault decision source. Implementations must be cheap and pure:
@@ -257,7 +253,7 @@ impl FaultInjector for DeterministicInjector {
         if p == 0 {
             return FaultAction::None;
         }
-        let h = mix64(self.seed ^ mix64((site.index() as u64 + 1) ^ context.rotate_left(17)));
+        let h = mix64(self.seed ^ mix64((site as u64 + 1) ^ context.rotate_left(17)));
         if (h % 1000) as u32 >= p {
             return FaultAction::None;
         }
@@ -273,15 +269,6 @@ impl FaultInjector for DeterministicInjector {
                 }
             }
             FaultSite::CkbWrite => FaultAction::Truncate { keep: param },
-            FaultSite::Fs2Worker => {
-                if choice.is_multiple_of(4) {
-                    FaultAction::Panic
-                } else {
-                    FaultAction::Delay {
-                        micros: param % 500,
-                    }
-                }
-            }
             FaultSite::NetServerSend => match choice % 3 {
                 0 => FaultAction::Drop,
                 1 => FaultAction::Truncate { keep: param },
@@ -354,7 +341,6 @@ static INJECTOR: RwLock<Option<Arc<dyn FaultInjector>>> = RwLock::new(None);
 static INSTALL_LOCK: Mutex<()> = Mutex::new(());
 /// Faults actually handed out, per site (for chaos assertions).
 static INJECTED: [AtomicU64; SITE_COUNT] = [
-    AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
     AtomicU64::new(0),
@@ -451,7 +437,7 @@ pub fn install(injector: Arc<dyn FaultInjector>) -> InstallGuard {
 }
 
 /// Applies a [`FaultAction`] to a byte buffer in place, returning `true`
-/// when the buffer was changed. `Drop`/`Delay`/`Panic` are call-site
+/// when the buffer was changed. `Drop`/`Delay` are call-site
 /// behaviors and leave the buffer alone.
 pub fn corrupt_in_place(action: FaultAction, bytes: &mut Vec<u8>) -> bool {
     match action {
@@ -518,11 +504,6 @@ mod tests {
             match inj.decide(FaultSite::CkbWrite, ctx) {
                 FaultAction::Truncate { .. } => {}
                 other => panic!("CkbWrite produced {other:?}"),
-            }
-            match inj.decide(FaultSite::Fs2Worker, ctx) {
-                FaultAction::Delay { micros } => assert!(micros < 500),
-                FaultAction::Panic => {}
-                other => panic!("Fs2Worker produced {other:?}"),
             }
             match inj.decide(FaultSite::WalAppend, ctx) {
                 FaultAction::Truncate { .. } => {}

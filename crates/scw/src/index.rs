@@ -23,17 +23,14 @@
 //! depends only on the entry's (masked) mask word, so requirements are
 //! cached per distinct mask word — typically a handful per predicate.
 //!
-//! # Sharding and parallel scan
+//! # Cancellation
 //!
-//! Entries are grouped into fixed-size shards
-//! ([`ScwConfig::shard_entries`]); [`ScwConfig::parallelism`] workers
-//! claim shards and scan them independently, modelling the paper's scan
-//! of multiple tracks with parallel disk heads. Per-shard hit lists are
-//! merged in shard order, so the result is byte-identical to a sequential
-//! scan at every parallelism level: Prolog clause order is preserved.
-//! The modelled [`ScanOutcome::fs1_time`] is unchanged — it is the
-//! secondary-file size over the FS1 scan rate, independent of how the
-//! software host organises the sweep.
+//! The scan walks the entries in fixed strides of 4096 and polls its
+//! cancellation hook before each stride and once after the last, so a
+//! cancelled scan stops within one stride. Uncancellable scans run the
+//! same loop with a hook that never fires. The modelled
+//! [`ScanOutcome::fs1_time`] is independent of how the host organises
+//! the sweep: it is the secondary-file size over the FS1 scan rate.
 
 use crate::config::ScwConfig;
 use crate::encode::{
@@ -44,7 +41,6 @@ use crate::Codeword;
 use clare_disk::SimNanos;
 use clare_term::Term;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Address of a clause in its compiled clause file: track plus slot within
@@ -119,6 +115,10 @@ impl ScanOutcome {
 /// word starts here so positions beyond a clause's arity read as `Var`,
 /// exactly as [`QueryDescriptor::matches`] defaults missing positions.
 const ALL_VAR: u64 = 0xAAAA_AAAA_AAAA_AAAA;
+
+/// Entries scanned between polls of the cancellation hook (see the module
+/// docs): one poll per stride bounds how long a cancelled scan runs on.
+const CANCEL_STRIDE: usize = 4096;
 
 /// The secondary index file for one predicate's compiled clause file,
 /// stored columnar (see the module docs).
@@ -257,62 +257,16 @@ impl IndexFile {
         self.scan_with_descriptor(&descriptor)
     }
 
-    /// Scans against an already-compiled descriptor, using the configured
-    /// parallelism.
+    /// Scans against an already-compiled descriptor.
     pub fn scan_with_descriptor(&self, descriptor: &QueryDescriptor) -> ScanOutcome {
-        self.scan_with(descriptor, self.config.parallelism())
-    }
-
-    /// Scans with an explicit worker count (overriding the configured
-    /// parallelism). The match list is identical at every level.
-    pub fn scan_with(&self, descriptor: &QueryDescriptor, parallelism: usize) -> ScanOutcome {
-        let started = Instant::now();
-        let compiled = CompiledQuery::compile(descriptor, self.limbs_per_entry);
-        let matches = self.packed_matches(&compiled, parallelism);
-        let outcome = self.outcome(matches);
-        let m = clare_trace::metrics();
-        m.fs1_scans.inc();
-        m.fs1_entries_scanned.add(outcome.entries_scanned as u64);
-        m.fs1_candidates_out.add(outcome.matches.len() as u64);
-        m.fs1_scan_wall_ns
-            .record(started.elapsed().as_nanos() as u64);
-        outcome
-    }
-
-    /// [`IndexFile::scan_with`] with a cooperative cancellation hook:
-    /// `cancel` is polled once per shard claim (on every worker), and a
-    /// `true` answer abandons the scan and returns `None`. A cancelled
-    /// scan never yields a partial match list and records no scan
-    /// metrics — to the registry it never happened. The hook is a plain
-    /// closure so this crate stays free of any budget-layer dependency.
-    pub fn scan_with_cancel(
-        &self,
-        descriptor: &QueryDescriptor,
-        parallelism: usize,
-        cancel: &(dyn Fn() -> bool + Sync),
-    ) -> Option<ScanOutcome> {
-        let started = Instant::now();
-        let compiled = CompiledQuery::compile(descriptor, self.limbs_per_entry);
-        let mut per_query = self.packed_matches_batch_cancel(
-            std::slice::from_ref(&compiled),
-            parallelism,
-            Some(cancel),
-        )?;
-        let matches = per_query.pop().expect("one query in, one hit list out");
-        let outcome = self.outcome(matches);
-        let m = clare_trace::metrics();
-        m.fs1_scans.inc();
-        m.fs1_entries_scanned.add(outcome.entries_scanned as u64);
-        m.fs1_candidates_out.add(outcome.matches.len() as u64);
-        m.fs1_scan_wall_ns
-            .record(started.elapsed().as_nanos() as u64);
-        Some(outcome)
+        let mut outcomes = self.scan_batch(std::slice::from_ref(descriptor));
+        outcomes.pop().expect("one query in, one outcome out")
     }
 
     /// Reference scalar scan: reconstructs each signature and applies
     /// [`QueryDescriptor::matches`] per entry. Retained as the semantic
-    /// baseline the packed and parallel paths are property-tested against
-    /// (and as the benchmark's "seed scalar" contender).
+    /// baseline the packed path is property-tested against (and as the
+    /// benchmark's "seed scalar" contender).
     pub fn scan_reference(&self, descriptor: &QueryDescriptor) -> ScanOutcome {
         let matches = (0..self.len())
             .filter(|&i| descriptor.matches(&self.signature_at(i)))
@@ -328,53 +282,48 @@ impl IndexFile {
     /// hardware has a single comparator per head; what the batch amortizes
     /// is the *host's* memory traffic, not the modelled disk sweep).
     pub fn scan_batch(&self, descriptors: &[QueryDescriptor]) -> Vec<ScanOutcome> {
-        self.scan_batch_with(descriptors, self.config.parallelism())
+        self.scan_batch_with_cancel(descriptors, &|| false)
+            .expect("a hook that never fires cannot cancel the scan")
     }
 
-    /// [`IndexFile::scan_batch`] with an explicit worker count.
-    pub fn scan_batch_with(
-        &self,
-        descriptors: &[QueryDescriptor],
-        parallelism: usize,
-    ) -> Vec<ScanOutcome> {
-        let started = Instant::now();
-        let compiled: Vec<CompiledQuery> = descriptors
-            .iter()
-            .map(|d| CompiledQuery::compile(d, self.limbs_per_entry))
-            .collect();
-        let per_query = self.packed_matches_batch(&compiled, parallelism);
-        let outcomes: Vec<ScanOutcome> = per_query.into_iter().map(|m| self.outcome(m)).collect();
-        let m = clare_trace::metrics();
-        m.fs1_batch_scans.inc();
-        m.fs1_scans.add(outcomes.len() as u64);
-        for o in &outcomes {
-            m.fs1_entries_scanned.add(o.entries_scanned as u64);
-            m.fs1_candidates_out.add(o.matches.len() as u64);
-        }
-        m.fs1_scan_wall_ns
-            .record(started.elapsed().as_nanos() as u64);
-        outcomes
-    }
-
-    /// [`IndexFile::scan_batch_with`] with the cooperative cancellation
-    /// hook of [`IndexFile::scan_with_cancel`]: `cancel` is polled per
-    /// shard claim, and `true` abandons the whole batch (`None`) with no
-    /// partial outcomes and no metrics recorded.
+    /// [`IndexFile::scan_batch`] with a cooperative cancellation hook:
+    /// `cancel` is polled before every stride of 4096 entries and once
+    /// after the last, and a `true` answer abandons the whole pass
+    /// (`None`). A cancelled scan never yields partial outcomes and records
+    /// no scan metrics — to the registry it never happened. The hook is a
+    /// plain closure so this crate stays free of any budget-layer
+    /// dependency.
     pub fn scan_batch_with_cancel(
         &self,
         descriptors: &[QueryDescriptor],
-        parallelism: usize,
-        cancel: &(dyn Fn() -> bool + Sync),
+        cancel: &dyn Fn() -> bool,
     ) -> Option<Vec<ScanOutcome>> {
         let started = Instant::now();
-        let compiled: Vec<CompiledQuery> = descriptors
+        let queries: Vec<CompiledQuery> = descriptors
             .iter()
             .map(|d| CompiledQuery::compile(d, self.limbs_per_entry))
             .collect();
-        let per_query = self.packed_matches_batch_cancel(&compiled, parallelism, Some(cancel))?;
-        let outcomes: Vec<ScanOutcome> = per_query.into_iter().map(|m| self.outcome(m)).collect();
+        let mut caches: Vec<RequirementCache> =
+            queries.iter().map(|_| RequirementCache::new()).collect();
+        let mut hits = vec![Vec::new(); queries.len()];
+        let mut scratch: Vec<u32> = Vec::new();
+        let mut start = 0;
+        loop {
+            if cancel() {
+                return None;
+            }
+            if start >= self.len() {
+                break;
+            }
+            let end = (start + CANCEL_STRIDE).min(self.len());
+            self.scan_range(&queries, &mut caches, &mut scratch, start..end, &mut hits);
+            start = end;
+        }
+        let outcomes: Vec<ScanOutcome> = hits.into_iter().map(|m| self.outcome(m)).collect();
         let m = clare_trace::metrics();
-        m.fs1_batch_scans.inc();
+        if outcomes.len() > 1 {
+            m.fs1_batch_scans.inc();
+        }
         m.fs1_scans.add(outcomes.len() as u64);
         for o in &outcomes {
             m.fs1_entries_scanned.add(o.entries_scanned as u64);
@@ -395,137 +344,29 @@ impl IndexFile {
         }
     }
 
-    /// Match addresses of a single compiled query, sharded across workers.
-    fn packed_matches(&self, query: &CompiledQuery, parallelism: usize) -> Vec<ClauseAddr> {
-        let mut per_query = self.packed_matches_batch(std::slice::from_ref(query), parallelism);
-        per_query.pop().expect("one query in, one hit list out")
-    }
-
-    /// The shared scan driver: one pass over the packed columns per shard,
-    /// testing every query against every entry. Shards are claimed by
-    /// `parallelism` workers; per-shard hit lists are stitched back in
-    /// shard order so each query's matches stay in clause order.
-    fn packed_matches_batch(
-        &self,
-        queries: &[CompiledQuery],
-        parallelism: usize,
-    ) -> Vec<Vec<ClauseAddr>> {
-        self.packed_matches_batch_cancel(queries, parallelism, None)
-            .expect("uncancellable scan completed")
-    }
-
-    /// The scan driver with an optional cancellation hook: `cancel` (if
-    /// any) is polled at every shard claim; a `true` answer abandons the
-    /// whole scan and yields `None`. Without a hook this is exactly the
-    /// old driver.
-    fn packed_matches_batch_cancel(
-        &self,
-        queries: &[CompiledQuery],
-        parallelism: usize,
-        cancel: Option<&(dyn Fn() -> bool + Sync)>,
-    ) -> Option<Vec<Vec<ClauseAddr>>> {
-        let len = self.len();
-        let shard = self.config.shard_entries();
-        let shard_count = len.div_ceil(shard).max(1);
-        let workers = parallelism.clamp(1, shard_count);
-
-        if workers == 1 {
-            let Some(cancel) = cancel else {
-                return Some(self.scan_shard(queries, 0, len));
-            };
-            // Walk shard-by-shard so cancellation latency stays one
-            // shard even on the serial path.
-            let mut per_query = vec![Vec::new(); queries.len()];
-            let mut start = 0;
-            loop {
-                if cancel() {
-                    return None;
-                }
-                if start >= len {
-                    break;
-                }
-                let end = (start + shard).min(len);
-                for (q, hits) in self.scan_shard(queries, start, end).into_iter().enumerate() {
-                    per_query[q].extend(hits);
-                }
-                start = end;
-            }
-            return Some(per_query);
-        }
-
-        let next = AtomicUsize::new(0);
-        let abandoned = std::sync::atomic::AtomicBool::new(false);
-        let mut sharded: Vec<(usize, Vec<Vec<ClauseAddr>>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let abandoned = &abandoned;
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            if let Some(cancel) = cancel {
-                                if abandoned.load(Ordering::Relaxed) {
-                                    break;
-                                }
-                                if cancel() {
-                                    abandoned.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                            }
-                            let s = next.fetch_add(1, Ordering::Relaxed);
-                            if s >= shard_count {
-                                break;
-                            }
-                            let start = s * shard;
-                            let end = (start + shard).min(len);
-                            local.push((s, self.scan_shard(queries, start, end)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("scan worker panicked"))
-                .collect()
-        });
-        if abandoned.load(Ordering::Relaxed) {
-            return None;
-        }
-        sharded.sort_unstable_by_key(|(s, _)| *s);
-
-        let mut per_query = vec![Vec::new(); queries.len()];
-        for (_, shard_hits) in sharded {
-            for (q, hits) in shard_hits.into_iter().enumerate() {
-                per_query[q].extend(hits);
-            }
-        }
-        Some(per_query)
-    }
-
-    /// Scans entries `[start, end)` for every query.
+    /// Scans the entries in `range` for every query, appending each
+    /// query's hits to `hits` in clause order (`scratch` is reused kernel
+    /// output space).
     ///
     /// The bit requirement of an entry depends only on its mask word, so
-    /// the shard is walked as maximal runs of entries sharing a raw mask
+    /// the range is walked as maximal runs of entries sharing a raw mask
     /// word (facts are all-ground, so a predicate typically has one long
     /// run per rule-head shape). Within a run every query's requirement is
     /// a constant vector, and the subset test over the run's contiguous
     /// limbs is handed to the [`clare_simd::fs1_subset_hits`] kernel — the
     /// AVX2/NEON path when the host has it, the identical scalar loop
     /// otherwise.
-    fn scan_shard(
+    fn scan_range(
         &self,
         queries: &[CompiledQuery],
-        start: usize,
-        end: usize,
-    ) -> Vec<Vec<ClauseAddr>> {
+        caches: &mut [RequirementCache],
+        scratch: &mut Vec<u32>,
+        range: std::ops::Range<usize>,
+        hits: &mut [Vec<ClauseAddr>],
+    ) {
         let stride = self.limbs_per_entry;
         let level = clare_simd::level();
-        let mut hits = vec![Vec::new(); queries.len()];
-        let mut caches: Vec<RequirementCache> =
-            queries.iter().map(|_| RequirementCache::new()).collect();
-        let mut scratch: Vec<u32> = Vec::new();
-        let mut run = start;
+        let (mut run, end) = (range.start, range.end);
         while run < end {
             let word = self.mask_words[run];
             let mut run_end = run + 1;
@@ -536,12 +377,11 @@ impl IndexFile {
             for (q, query) in queries.iter().enumerate() {
                 let required = caches[q].required(query, word);
                 scratch.clear();
-                clare_simd::fs1_subset_hits(level, required, limbs, &mut scratch);
+                clare_simd::fs1_subset_hits(level, required, limbs, scratch);
                 hits[q].extend(scratch.iter().map(|&rel| self.addrs[run + rel as usize]));
             }
             run = run_end;
         }
-        hits
     }
 }
 
@@ -768,30 +608,52 @@ mod tests {
             let descriptor = encode_query_descriptor(&query, index.config());
             let reference = index.scan_reference(&descriptor);
             assert_eq!(index.scan(&query), reference, "query {q}");
-            for workers in [1, 2, 3, 7] {
-                assert_eq!(
-                    index.scan_with(&descriptor, workers),
-                    reference,
-                    "query {q}, {workers} workers"
-                );
-            }
         }
     }
 
     #[test]
-    fn parallel_scan_preserves_clause_order_across_shards() {
+    fn scan_crossing_the_cancel_stride_polls_once_per_stride() {
+        use std::cell::Cell;
         let mut sy = SymbolTable::new();
-        let clauses: Vec<String> = (0..97).map(|i| format!("t(a, n{i})")).collect();
+        let len = 2 * CANCEL_STRIDE + 123;
+        let clauses: Vec<String> = (0..len).map(|i| format!("c(k{}, n{i})", i % 50)).collect();
         let refs: Vec<&str> = clauses.iter().map(String::as_str).collect();
-        // Tiny shards so every worker owns many of them.
-        let config = ScwConfig::paper().with_shard_entries(5).with_parallelism(4);
-        let index = build_index_with(&refs, &mut sy, config);
-        let outcome = index.scan(&parse_term("t(a, X)", &mut sy).unwrap());
-        assert_eq!(outcome.matches.len(), 97);
-        assert!(
-            outcome.matches.windows(2).all(|w| w[0] < w[1]),
-            "matches must stay in clause order"
-        );
+        let index = build_index(&refs, &mut sy);
+        assert_eq!(index.len(), len);
+        let query = parse_term("c(k7, X)", &mut sy).unwrap();
+        let descriptor = encode_query_descriptor(&query, index.config());
+        let reference = index.scan_reference(&descriptor);
+        assert!(!reference.matches.is_empty());
+
+        // Uncancelled: identical to the reference, one poll per stride
+        // plus the final one.
+        let polls = Cell::new(0usize);
+        let counting = || {
+            polls.set(polls.get() + 1);
+            false
+        };
+        let outcome = index
+            .scan_batch_with_cancel(std::slice::from_ref(&descriptor), &counting)
+            .expect("a hook that never fires cannot cancel");
+        assert_eq!(outcome, vec![reference.clone()]);
+        let expected_polls = len.div_ceil(CANCEL_STRIDE) + 1;
+        assert_eq!(polls.get(), expected_polls);
+        assert_eq!(index.scan_with_descriptor(&descriptor), reference);
+
+        // Firing on any poll, the last included, abandons the scan.
+        for k in 1..=expected_polls {
+            let calls = Cell::new(0usize);
+            let fire_on_k = || {
+                calls.set(calls.get() + 1);
+                calls.get() == k
+            };
+            assert_eq!(
+                index.scan_batch_with_cancel(std::slice::from_ref(&descriptor), &fire_on_k),
+                None,
+                "cancelled on poll {k}"
+            );
+            assert_eq!(calls.get(), k, "the scan stops polling once cancelled");
+        }
     }
 
     #[test]

@@ -137,11 +137,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let m = clare::trace::metrics();
                 println!(
                     "health: {} degraded answers, {} quarantined tracks \
-                     ({} track CRC failures), {} FS2 worker recoveries",
+                     ({} track CRC failures)",
                     stats.degraded,
                     m.fs2_quarantined_tracks.get(),
                     m.disk_track_crc_failures.get(),
-                    m.fs2_worker_recoveries.get(),
                 );
                 continue;
             }

@@ -27,16 +27,6 @@ fn schedules() -> u64 {
         .max(30)
 }
 
-/// Runs `f` with panic messages silenced: injected worker deaths are part
-/// of the experiment, and their backtraces would drown real failures.
-fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = f();
-    std::panic::set_hook(prev);
-    out
-}
-
 /// A knowledge base big enough that its main predicate spans several
 /// disk tracks — quarantining one track must not take the others along.
 fn chaos_kb() -> (KnowledgeBase, Vec<Term>) {
@@ -64,6 +54,13 @@ fn install(seed: u64, plan: FaultPlan) -> clare_fault::InstallGuard {
     clare_fault::install(Arc::new(DeterministicInjector::new(seed, plan)))
 }
 
+/// Holds the process-wide injector slot with the no-op injector: the
+/// injector is global, so a fault-free phase must own the slot or it may
+/// run under a sibling test's storm.
+fn calm() -> clare_fault::InstallGuard {
+    clare_fault::install(Arc::new(clare_fault::NoopInjector))
+}
+
 /// Writes the global metrics counters as JSON when `CLARE_CHAOS_REPORT`
 /// is set, so the CI chaos-smoke job can archive what actually happened.
 fn maybe_report() {
@@ -85,16 +82,13 @@ fn maybe_report() {
     let _ = std::fs::write("target/chaos-metrics.json", json);
 }
 
-/// Disk corruption and FS2 worker deaths, together and separately, across
-/// the full schedule budget: the unified answer count never moves, any
-/// quarantine is flagged `degraded`, and nothing escapes as a panic.
+/// Disk corruption across the full schedule budget: the unified answer
+/// count never moves, any quarantine is flagged `degraded`, and nothing
+/// escapes as a panic.
 #[test]
 fn storage_and_sweep_chaos_is_correct_or_flagged() {
     let (kb, queries) = chaos_kb();
-    let opts = CrsOptions {
-        fs2_parallelism: Some(4),
-        ..CrsOptions::default()
-    };
+    let opts = CrsOptions::default();
     let modes = [SearchMode::Fs2Only, SearchMode::TwoStage];
     let reference: Vec<Retrieval> = queries
         .iter()
@@ -103,41 +97,34 @@ fn storage_and_sweep_chaos_is_correct_or_flagged() {
 
     let total = schedules();
     let mut quarantines = 0u64;
-    quiet_panics(|| {
-        for seed in 0..total {
-            // Rotate the fault surface: disk only, workers only, both;
-            // sweep the intensity so light and heavy storms both run.
-            let permille = 100 + (seed % 8) as u32 * 100;
-            let plan = match seed % 3 {
-                0 => FaultPlan::none().with(FaultSite::DiskTrackRead, permille),
-                1 => FaultPlan::none().with(FaultSite::Fs2Worker, permille),
-                _ => FaultPlan::none()
-                    .with(FaultSite::DiskTrackRead, permille)
-                    .with(FaultSite::Fs2Worker, permille),
-            };
-            let _guard = install(seed, plan);
-            for (pair, want) in queries
-                .iter()
-                .flat_map(|q| modes.iter().map(move |&m| (q, m)))
-                .zip(&reference)
-            {
-                let (query, mode) = pair;
-                let got = retrieve(&kb, query, mode, &opts);
-                assert_eq!(
-                    got.stats.unified, want.stats.unified,
-                    "seed {seed}: the answer set moved under faults"
-                );
-                assert!(
-                    got.stats.candidates >= want.stats.unified,
-                    "seed {seed}: the filter dropped a true answer"
-                );
-                if got.stats.quarantined_tracks > 0 {
-                    assert!(got.stats.degraded, "seed {seed}: unflagged quarantine");
-                    quarantines += 1;
-                }
+    for seed in 0..total {
+        // Sweep the intensity so light and heavy storms both run.
+        let permille = 100 + (seed % 8) as u32 * 100;
+        let _guard = install(
+            seed,
+            FaultPlan::none().with(FaultSite::DiskTrackRead, permille),
+        );
+        for (pair, want) in queries
+            .iter()
+            .flat_map(|q| modes.iter().map(move |&m| (q, m)))
+            .zip(&reference)
+        {
+            let (query, mode) = pair;
+            let got = retrieve(&kb, query, mode, &opts);
+            assert_eq!(
+                got.stats.unified, want.stats.unified,
+                "seed {seed}: the answer set moved under faults"
+            );
+            assert!(
+                got.stats.candidates >= want.stats.unified,
+                "seed {seed}: the filter dropped a true answer"
+            );
+            if got.stats.quarantined_tracks > 0 {
+                assert!(got.stats.degraded, "seed {seed}: unflagged quarantine");
+                quarantines += 1;
             }
         }
-    });
+    }
     assert!(
         quarantines > 0,
         "no schedule ever quarantined a track — the harness is not biting"
@@ -199,7 +186,7 @@ fn kb_io_chaos_never_loads_a_corrupt_kb() {
 }
 
 /// Cache-poisoning schedules: a cache-enabled [`ClauseRetrievalServer`]
-/// under disk-corruption and worker-death storms. The invariant is that
+/// under disk-corruption storms. The invariant is that
 /// the cache can never launder a faulted answer into a later fault-free
 /// request: only non-degraded answers are cacheable, a non-degraded
 /// answer must be byte-identical to the fault-free serial reference, and
@@ -208,64 +195,58 @@ fn kb_io_chaos_never_loads_a_corrupt_kb() {
 #[test]
 fn cache_hits_never_serve_poisoned_answers_under_chaos() {
     let (kb, queries) = chaos_kb();
-    let opts = CrsOptions {
-        fs2_parallelism: Some(4),
-        ..CrsOptions::default()
-    };
-    // Fault-free serial reference, computed before any injector installs.
+    let opts = CrsOptions::default();
+    // Fault-free reference.
+    let calm_guard = calm();
     let reference: Vec<Retrieval> = queries
         .iter()
         .map(|q| retrieve(&kb, q, SearchMode::TwoStage, &opts))
         .collect();
+    drop(calm_guard);
     let server = ClauseRetrievalServer::new(kb, opts.clone());
 
     let total = schedules();
     let mut quarantines = 0u64;
     let hits_before = clare_trace::metrics().cache_hits.get();
-    quiet_panics(|| {
-        for seed in 0..total {
-            let permille = 100 + (seed % 8) as u32 * 100;
-            let plan = match seed % 3 {
-                0 => FaultPlan::none().with(FaultSite::DiskTrackRead, permille),
-                1 => FaultPlan::none().with(FaultSite::Fs2Worker, permille),
-                _ => FaultPlan::none()
-                    .with(FaultSite::DiskTrackRead, permille)
-                    .with(FaultSite::Fs2Worker, permille),
-            };
-            let guard = install(seed, plan);
-            for (query, want) in queries.iter().zip(&reference) {
-                let got = server.retrieve(query, SearchMode::TwoStage);
+    for seed in 0..total {
+        let permille = 100 + (seed % 8) as u32 * 100;
+        let guard = install(
+            seed,
+            FaultPlan::none().with(FaultSite::DiskTrackRead, permille),
+        );
+        for (query, want) in queries.iter().zip(&reference) {
+            let got = server.retrieve(query, SearchMode::TwoStage);
+            assert_eq!(
+                got.stats.unified, want.stats.unified,
+                "seed {seed}: the answer set moved under faults"
+            );
+            quarantines += got.stats.quarantined_tracks as u64;
+            if !got.stats.degraded {
+                // The cacheable subset: anything here may be served
+                // verbatim to a later request, so it must already BE
+                // the fault-free answer, byte for byte.
                 assert_eq!(
-                    got.stats.unified, want.stats.unified,
-                    "seed {seed}: the answer set moved under faults"
-                );
-                quarantines += got.stats.quarantined_tracks as u64;
-                if !got.stats.degraded {
-                    // The cacheable subset: anything here may be served
-                    // verbatim to a later request, so it must already BE
-                    // the fault-free answer, byte for byte.
-                    assert_eq!(
-                        got, *want,
-                        "seed {seed}: a non-degraded (cacheable) answer diverged"
-                    );
-                }
-            }
-            // Calm after the storm: with the injector gone, the cached
-            // server must agree byte-for-byte with a fresh uncached
-            // pipeline run on its current snapshot. A storm-era entry
-            // outliving the quarantine verdicts it predates would show
-            // up right here.
-            drop(guard);
-            for query in &queries {
-                let got = server.retrieve(query, SearchMode::TwoStage);
-                let fresh = retrieve(&server.snapshot(), query, SearchMode::TwoStage, &opts);
-                assert_eq!(
-                    got, fresh,
-                    "seed {seed}: post-storm cache state diverged from the pipeline"
+                    got, *want,
+                    "seed {seed}: a non-degraded (cacheable) answer diverged"
                 );
             }
         }
-    });
+        // Calm after the storm: with the injector gone, the cached
+        // server must agree byte-for-byte with a fresh uncached
+        // pipeline run on its current snapshot. A storm-era entry
+        // outliving the quarantine verdicts it predates would show
+        // up right here.
+        drop(guard);
+        let _calm = calm();
+        for query in &queries {
+            let got = server.retrieve(query, SearchMode::TwoStage);
+            let fresh = retrieve(&server.snapshot(), query, SearchMode::TwoStage, &opts);
+            assert_eq!(
+                got, fresh,
+                "seed {seed}: post-storm cache state diverged from the pipeline"
+            );
+        }
+    }
     assert!(
         quarantines > 0,
         "no schedule ever quarantined a track — the harness is not biting"
@@ -291,10 +272,12 @@ fn net_chaos_over_loopback_is_correct_or_flagged() {
     let (kb, queries) = chaos_kb();
     let crs = Arc::new(ClauseRetrievalServer::new(kb, CrsOptions::default()));
     let server = NetServer::bind(Arc::clone(&crs), "127.0.0.1:0", NetConfig::default()).unwrap();
+    let calm_guard = calm();
     let reference: Vec<Retrieval> = queries
         .iter()
         .map(|q| crs.retrieve(q, SearchMode::TwoStage))
         .collect();
+    drop(calm_guard);
 
     // TCP round-trips dominate here, so the net share of the budget is
     // scaled down; dropped frames each cost one client read timeout.
@@ -345,6 +328,7 @@ fn net_chaos_over_loopback_is_correct_or_flagged() {
 
     // With the injector gone the same daemon serves a clean client
     // perfectly: nothing wedged, nothing leaked into later connections.
+    let _calm = calm();
     let mut client = NetClient::connect(server.local_addr(), ClientConfig::default()).unwrap();
     for (query, want) in queries.iter().zip(&reference) {
         assert_eq!(&client.retrieve(query, SearchMode::TwoStage).unwrap(), want);
@@ -559,10 +543,12 @@ fn reactor_read_write_chaos_is_transparent() {
         ..NetConfig::default()
     };
     let server = NetServer::bind(Arc::clone(&crs), "127.0.0.1:0", cfg).unwrap();
+    let calm_guard = calm();
     let reference: Vec<Retrieval> = queries
         .iter()
         .map(|q| crs.retrieve(q, SearchMode::TwoStage))
         .collect();
+    drop(calm_guard);
 
     let total = (schedules() / 25).max(20);
     let client_cfg = ClientConfig {
@@ -571,7 +557,7 @@ fn reactor_read_write_chaos_is_transparent() {
         ..ClientConfig::default()
     };
     let counts_before = clare_fault::injected_counts();
-    let crc_before = clare_trace::metrics().net_frame_crc_failures.get();
+    let mut crc_failures = 0u64;
     let mut served = 0u64;
     let mut flagged = 0u64;
     for seed in 0..total {
@@ -584,22 +570,27 @@ fn reactor_read_write_chaos_is_transparent() {
                 .with(FaultSite::NetReactorWrite, permille),
         };
         let _guard = install(seed, plan);
-        let Ok(mut client) = NetClient::connect(server.local_addr(), client_cfg.clone()) else {
-            flagged += 1;
-            continue;
-        };
-        for (query, want) in queries.iter().zip(&reference) {
-            match client.retrieve(query, SearchMode::TwoStage) {
-                Ok(got) => {
-                    assert_eq!(
-                        &got, want,
-                        "seed {seed}: a scheduling fault changed answer bytes"
-                    );
-                    served += 1;
+        // Counted while this schedule holds the injector slot, so no
+        // sibling test's byte-corrupting storm can land in the window.
+        let crc_before = clare_trace::metrics().net_frame_crc_failures.get();
+        match NetClient::connect(server.local_addr(), client_cfg.clone()) {
+            Ok(mut client) => {
+                for (query, want) in queries.iter().zip(&reference) {
+                    match client.retrieve(query, SearchMode::TwoStage) {
+                        Ok(got) => {
+                            assert_eq!(
+                                &got, want,
+                                "seed {seed}: a scheduling fault changed answer bytes"
+                            );
+                            served += 1;
+                        }
+                        Err(_) => flagged += 1,
+                    }
                 }
-                Err(_) => flagged += 1,
             }
+            Err(_) => flagged += 1,
         }
+        crc_failures += clare_trace::metrics().net_frame_crc_failures.get() - crc_before;
     }
     let counts = clare_fault::injected_counts();
     let read_faults = counts[FaultSite::NetReactorRead.index()]
@@ -613,12 +604,12 @@ fn reactor_read_write_chaos_is_transparent() {
         "transparent faults should rarely be visible: {served} served vs {flagged} flagged"
     );
     assert_eq!(
-        clare_trace::metrics().net_frame_crc_failures.get(),
-        crc_before,
+        crc_failures, 0,
         "a reactor scheduling fault corrupted frame bytes"
     );
 
     // Clean client after the storm: nothing wedged in the event loop.
+    let _calm = calm();
     let mut client = NetClient::connect(server.local_addr(), ClientConfig::default()).unwrap();
     for (query, want) in queries.iter().zip(&reference) {
         assert_eq!(&client.retrieve(query, SearchMode::TwoStage).unwrap(), want);
